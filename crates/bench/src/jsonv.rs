@@ -59,13 +59,24 @@ impl JValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a line of `[`s overflows the
+/// thread's stack and aborts the process (a daemon reading untrusted
+/// lines included).
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
 ///
 /// # Errors
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, or
+/// of the first array/object nested more than 128 levels deep.
 pub fn parse(src: &str) -> Result<JValue, String> {
     let b = src.as_bytes();
-    let mut p = Parser { b, pos: 0 };
+    let mut p = Parser {
+        b,
+        pos: 0,
+        depth: 0,
+    };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -78,6 +89,8 @@ pub fn parse(src: &str) -> Result<JValue, String> {
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -106,8 +119,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JValue, String> {
         match self.b.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(JValue::Str),
             Some(b't') => self.lit("true", JValue::Bool(true)),
             Some(b'f') => self.lit("false", JValue::Bool(false)),
@@ -115,6 +128,17 @@ impl Parser<'_> {
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<JValue, String>) -> Result<JValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn lit(&mut self, word: &str, v: JValue) -> Result<JValue, String> {
@@ -273,6 +297,20 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\":}", "tru", "\"abc", "{} x", "{\"a\" 1}"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Far past the limit fails the same way instead of overflowing
+        // the stack; so does an unclosed run of mixed openers.
+        assert!(parse(&"[".repeat(200_000)).unwrap_err().contains("nesting"));
+        assert!(parse(&"[{\"a\":".repeat(100_000))
+            .unwrap_err()
+            .contains("nesting"));
     }
 
     #[test]

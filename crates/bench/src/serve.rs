@@ -389,7 +389,11 @@ pub fn parse_request(v: &JValue) -> Result<Request, String> {
         };
     }
     if let Some(n) = v.get("budget_cycles") {
-        req.budget_cycles = Some(n.as_num().ok_or("'budget_cycles' must be a number")? as u64);
+        let n = n.as_num().ok_or("'budget_cycles' must be a number")?;
+        if !(n >= 0.0 && n.is_finite()) {
+            return Err("'budget_cycles' must be a finite, non-negative number".into());
+        }
+        req.budget_cycles = Some(n as u64);
     }
     if let Some(f) = v.get("faults") {
         let spec = f.as_str().ok_or("'faults' must be a spec string")?;

@@ -328,10 +328,59 @@ fn parse_request_validates_fields() {
             "backend",
         ),
         ("{\"workload\": \"epic\", \"fresh\": 1}", "fresh"),
+        (
+            "{\"workload\": \"epic\", \"budget_cycles\": -5}",
+            "budget_cycles",
+        ),
+        (
+            "{\"workload\": \"epic\", \"budget_cycles\": 1e999}",
+            "budget_cycles",
+        ),
     ] {
         let err = parse(bad).expect_err(bad);
         assert!(err.contains(needle), "{bad}: {err} should name {needle}");
     }
+}
+
+/// A line nested far past the parser's depth limit, and a negative
+/// budget, come back as typed `bad-request` rows; the connection and the
+/// engine keep serving afterwards.
+#[test]
+fn hostile_lines_get_typed_rows() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 4,
+        pool_cap: 1,
+    });
+    let input = format!(
+        "{}\n{}\n{}\n",
+        "[".repeat(200_000),
+        "{\"id\": 2, \"workload\": \"rawcaudio\", \"budget_cycles\": -1}",
+        "{\"id\": 3, \"stats\": true}",
+    );
+    let mut out = Vec::new();
+    serve_connection(&server, Cursor::new(input.into_bytes()), &mut out);
+    server.shutdown();
+
+    let text = String::from_utf8(out).expect("utf8 output");
+    let rows: Vec<JValue> = text
+        .lines()
+        .map(|l| jsonv::parse(l).expect("every response row parses"))
+        .collect();
+    assert_eq!(rows.len(), 3, "one row per request line:\n{text}");
+    let by_id = |id: f64| {
+        rows.iter()
+            .find(|r| r.get("id").and_then(JValue::as_num) == Some(id))
+            .unwrap_or_else(|| panic!("no row with id {id}:\n{text}"))
+    };
+    for id in [0.0, 2.0] {
+        assert_eq!(
+            by_id(id).get("error").and_then(JValue::as_str),
+            Some("bad-request"),
+            "{text}"
+        );
+    }
+    assert!(by_id(3.0).get("stats").is_some(), "{text}");
 }
 
 /// Full TCP round trip against the real `serve` binary: bind port 0,

@@ -20,7 +20,7 @@
 //! registers (inductions, accumulators) keep their names and chain.
 
 use crate::liveness::Liveness;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use voltron_ir::cfg::Cfg;
 use voltron_ir::loops::{LoopForest, LoopId};
 use voltron_ir::profile::Profile;
@@ -293,9 +293,10 @@ fn apply(f: &mut Function, c: &Candidate, lv: &Liveness) {
     let header = c.header;
 
     // Carried registers keep their names; everything else defined in the
-    // body is renamed per copy.
+    // body is renamed per copy, numbered in register order so the output
+    // is deterministic.
     let loop_blocks: Vec<BlockId> = (c.first..=c.last).map(BlockId).collect();
-    let mut defined: HashSet<Reg> = HashSet::new();
+    let mut defined: BTreeSet<Reg> = BTreeSet::new();
     for &b in &loop_blocks {
         for i in &f.block(b).insts {
             if let Some(d) = i.def() {

@@ -14,8 +14,14 @@ use crate::semantics;
 use crate::value::Value;
 use std::fmt;
 
-/// Observation hooks used by the profiler; default implementations are
-/// no-ops so plain interpretation pays almost nothing.
+/// Observation hooks used by the profiler.
+///
+/// [`run_observed`] and [`exec_inst`] are generic over the observer, so
+/// every hook is statically dispatched and inlined into the interpreter
+/// loop: the profiler's hooks become straight-line code there, and the
+/// default no-op hooks of [`NoObserver`] compile away, so plain
+/// interpretation pays nothing for them. `&mut dyn Observer` still works
+/// where a caller needs dynamic dispatch.
 pub trait Observer {
     /// Called when control enters a block.
     fn on_block(&mut self, _func: FuncId, _block: BlockId) {}
@@ -163,10 +169,10 @@ pub fn run(program: &Program, fuel: u64) -> Result<Outcome, InterpError> {
 ///
 /// # Errors
 /// See [`InterpError`].
-pub fn run_observed(
+pub fn run_observed<O: Observer + ?Sized>(
     program: &Program,
     fuel: u64,
-    obs: &mut dyn Observer,
+    obs: &mut O,
 ) -> Result<Outcome, InterpError> {
     let mut memory = Memory::from_data(&program.data);
     let mut steps: u64 = 0;
@@ -333,12 +339,12 @@ pub fn eval_operand(regs: &RegFile, op: Operand) -> Result<Value, InterpError> {
 ///
 /// # Errors
 /// Returns an error on memory faults or machine-only opcodes.
-pub fn exec_inst(
+pub fn exec_inst<O: Observer + ?Sized>(
     inst: &Inst,
     at: InstRef,
     regs: &mut RegFile,
     memory: &mut Memory,
-    obs: &mut dyn Observer,
+    obs: &mut O,
 ) -> Result<(), InterpError> {
     use Opcode::*;
     let get = |i: usize, regs: &RegFile| eval_operand(regs, inst.srcs[i]);
